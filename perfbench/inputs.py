@@ -2,9 +2,11 @@
 
 One entry point, :func:`generate`, turns ``(workload, seed)`` into the
 job streams the measured process executes plus, for each job, the
-description the reference checker needs.  Everything is a pure function
-of the seed and is computed before any timing starts; the measured
-process receives only the job specs.
+description the reference checker needs.  Each stream repeats blocks
+(``"block"`` jobs each) that hold the same jobs up to order, so a loop
+over whole blocks times the same mix of jobs at every seed.  Everything
+is a pure function of the seed and is computed before any timing starts;
+the measured process receives only the job specs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from typing import Any
 
 from repro.gen.generator import GenConfig
-from repro.gen.jobs import binary_specs, build_stream, close_over
+from repro.gen.jobs import binary_specs, build_stream, close_over, job_corpus
 from repro.surface import to_surface
 
 import workloads
@@ -22,16 +24,23 @@ import workloads
 #: claimed gain can be re-checked on it (``--seed 9176``).
 HELD_OUT_SEED = 9176
 
-#: cold_families size ranges, each split into strata drawn once per block.
-#: wide_capture is enumerated (every width in every block) so the widest
-#: captures always sit in the latency tail.
-COLD_RANGES = {
-    "nested_lambdas": (10, 40),
-    "church_sum": (4, 16),
-    "pair_tower": (4, 16),
+#: cold_families: the jobs of one block.  Every block holds the same
+#: multiset -- each family at fixed points across its range, every
+#: wide_capture width, each as a ``run`` and a ``compile`` job -- and the
+#: seed orders it.  Sizes drawn per seed made throughput differ by up to a
+#: third between seeds (nested_lambdas costs ~18 ms at depth 10 and
+#: ~750 ms at depth 40), more than the benchmark's bound.
+#: wide_capture(6) and nested_lambdas(40) are a ninth of the jobs, so p95
+#: lies inside that cluster rather than on its edge; the median lies inside
+#: the 50-80 ms cluster of church_sum and nested_lambdas(16), with 14 jobs
+#: below it and 10 above (with depth 10 instead of 16 it sat on the
+#: cluster's lower edge and moved more than throughput did).
+COLD_SIZES = {
+    "wide_capture": (2, 3, 4, 5, 6),
+    "nested_lambdas": (16, 24, 32, 40),
+    "church_sum": (4, 8, 12, 16),
+    "pair_tower": (4, 8, 12, 16),
 }
-COLD_STRATA = 4
-COLD_WIDTHS = (2, 3, 4, 5, 6)
 COLD_KINDS = ("run", "compile")
 COLD_BLOCKS = 24
 
@@ -44,13 +53,25 @@ TOWER_BLOCKS = 60
 
 #: warm_builds: gen corpus shape per build.  Generated programs vary
 #: widely in cost, so each build carries a large corpus of shallow terms:
-#: with depth-3 terms a few heavy compile/run jobs made served throughput
-#: differ by ~40% between seeds; depth 2 keeps the jobs small, as the
-#: workload intends.
-SERVED_KINDS = ("normalize", "check", "compile", "run", "compile_py")
+#: with depth-3 terms a few heavy compile/run jobs made throughput differ
+#: by ~40% between seeds; depth 2 keeps the jobs small, as the workload
+#: intends.  Warm normalize/check/compile_py hits cost ~0.2-0.5 ms, cold
+#: fills and run/compile jobs 0.8-3 ms; with those kinds weighted twice
+#: and five passes per reset, the warm hits are 60% of the jobs, so the
+#: median falls among them instead of in the gap between them and the
+#: fills (with equal weights and three passes it fell in the gap and
+#: moved by a quarter between seeds).
+SERVED_KINDS = (
+    "normalize", "check", "compile_py", "compile", "normalize", "check", "compile_py", "run",
+)
 SERVED_CORPUS = 128
+#: Each corpus is taken from a pool this many times its size, at evenly
+#: spaced ranks of program size, so that every seed's corpus has the same
+#: size profile.  Drawn directly, one seed's 128 programs were on average
+#: 15% longer than another's and its builds ran ~25% slower.
+SERVED_POOL = 4
 SERVED_ITERATIONS = 2
-SERVED_PASSES = 3
+SERVED_PASSES = 5
 SERVED_CONFIG = GenConfig(max_depth=2, context_size=2)
 
 
@@ -64,36 +85,22 @@ def family_text(family: str, size: int) -> str:
     return to_surface(term)
 
 
-def _strata(low: int, high: int, count: int) -> list[tuple[int, int]]:
-    """Split ``[low, high]`` into ``count`` contiguous, near-equal strata."""
-    bounds = [low + round(i * (high - low + 1) / count) for i in range(count + 1)]
-    return [(bounds[i], bounds[i + 1] - 1) for i in range(count)]
-
-
 def _cold_families(rng: random.Random) -> dict[str, Any]:
-    texts: dict[tuple[str, int], str] = {}
+    members = [
+        (family, size, kind)
+        for family, sizes in COLD_SIZES.items()
+        for size in sizes
+        for kind in COLD_KINDS
+    ]
+    texts = {(family, size): family_text(family, size) for family, size, _ in members}
     stream, refs = [], []
     for _ in range(COLD_BLOCKS):
-        members = [("wide_capture", width) for width in COLD_WIDTHS]
-        for family, (low, high) in COLD_RANGES.items():
-            members += [
-                (family, rng.randint(a, b)) for a, b in _strata(low, high, COLD_STRATA)
-            ]
-        block = [(family, size, kind) for family, size in members for kind in COLD_KINDS]
+        block = list(members)
         rng.shuffle(block)
         for family, size, kind in block:
-            text = texts.get((family, size))
-            if text is None:
-                text = texts[(family, size)] = family_text(family, size)
-            stream.append({"id": f"cf-{len(stream)}", "kind": kind, "program": text})
+            stream.append({"id": f"cf-{len(stream)}", "kind": kind, "program": texts[(family, size)]})
             refs.append({"family": family, "size": size, "kind": kind})
-    block_size = len(COLD_WIDTHS) + COLD_STRATA * len(COLD_RANGES)
-    return {
-        "mode": "solo_fresh",
-        "stream": stream,
-        "refs": refs,
-        "count_prefix": block_size * len(COLD_KINDS),
-    }
+    return {"mode": "solo_fresh", "stream": stream, "refs": refs, "block": len(members)}
 
 
 def _exec_towers(rng: random.Random) -> dict[str, Any]:
@@ -114,21 +121,35 @@ def _exec_towers(rng: random.Random) -> dict[str, Any]:
         "mode": "solo_shared",
         "stream": stream,
         "refs": refs,
-        "count_prefix": len(programs) * len(TOWER_KINDS),
+        "block": len(programs) * len(TOWER_KINDS),
     }
+
+
+def _served_corpus(seed: int, rng: random.Random) -> list[dict[str, Any]]:
+    """SERVED_CORPUS gen programs at evenly spaced size ranks of a larger pool."""
+    pool = job_corpus(
+        seed, count=SERVED_POOL * SERVED_CORPUS, config=SERVED_CONFIG, kinds=("normalize",)
+    )
+    pool.sort(key=lambda spec: len(spec["program"]))
+    step = len(pool) / SERVED_CORPUS
+    corpus = [
+        {"kind": SERVED_KINDS[i % len(SERVED_KINDS)], "program": pool[int((i + 0.5) * step)]["program"]}
+        for i in range(SERVED_CORPUS)
+    ]
+    rng.shuffle(corpus)
+    return corpus
 
 
 def _warm_builds(rng: random.Random) -> dict[str, Any]:
     builds, refs = [], []
     for build in range(2):
+        seed = rng.randrange(1 << 30)
         stream = build_stream(
             build,
-            rng.randrange(1 << 30),
+            seed,
             iterations=SERVED_ITERATIONS,
             passes=SERVED_PASSES,
-            corpus_size=SERVED_CORPUS,
-            config=SERVED_CONFIG,
-            kinds=SERVED_KINDS,
+            corpus=_served_corpus(seed, rng),
         )
         # References are keyed on the source text, which the binary wire
         # drops from the spec it sends.
@@ -143,7 +164,7 @@ def _warm_builds(rng: random.Random) -> dict[str, Any]:
         "mode": "builds",
         "builds": builds,
         "refs": refs,
-        "count_prefix": sum(len(stream) for stream in builds),
+        "block": sum(len(stream) for stream in builds),
     }
 
 

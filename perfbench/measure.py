@@ -40,8 +40,9 @@ SERVED_WORKERS = 2
 #: Payload fields the reference checker reads; the rest is compared by digest.
 CHECKED_FIELDS = ("value", "normal", "verified", "term")
 
-#: The end-to-end loop runs past --seconds until it has this many jobs, so
-#: that at least ten samples lie beyond p95 even in a slow stretch.
+#: The end-to-end loop runs past --seconds until it has this many jobs and
+#: has ended a block, so that at least ten samples lie beyond p95 even in a
+#: slow stretch and every block it timed is whole.
 MIN_SAMPLES = 200
 
 #: Shed retries allowed per job before its refusal counts as the result.
@@ -214,13 +215,15 @@ class SoloSource:
         return counters
 
 
-def solo_loop(source: SoloSource, seconds: float | None, traced: Any = None, min_jobs: int = 0) -> dict:
+def solo_loop(
+    source: SoloSource, seconds: float | None, traced: Any = None, min_jobs: int = 0, block: int = 0
+) -> dict:
     """One caller, one job at a time, until ``seconds`` of wall time pass.
 
     The loop runs at least ``min_jobs`` jobs; ``seconds=None`` stops right
-    after them.  With ``traced`` (a :class:`TracedRun`) every job runs under
-    the tracer and the deterministic counts of the first ``min_jobs`` jobs
-    are summed.
+    after them.  With ``block``, it stops only at the end of a block.  With
+    ``traced`` (a :class:`TracedRun`) every job runs under the tracer and
+    the deterministic counts of the first ``min_jobs`` jobs are summed.
     """
     records: list[list] = []
     counts: dict[str, int] = {}
@@ -244,7 +247,8 @@ def solo_loop(source: SoloSource, seconds: float | None, traced: Any = None, min
              result.meta["elapsed_seconds"]]
         )
         position += 1
-        if position >= min_jobs and (seconds is None or done - start >= seconds):
+        at_boundary = not block or position % block == 0
+        if position >= min_jobs and at_boundary and (seconds is None or done - start >= seconds):
             break
     return {"records": records, "wall": done - start, "counts": counts, "entries": entries}
 
@@ -416,7 +420,10 @@ def measure(generated: dict, seconds: float, trace: bool, workdir: str) -> dict[
     else:
         source = SoloSource(generated, os.path.join(workdir, "memo-main.sqlite"), session)
         try:
-            main = solo_loop(source, main_seconds, min_jobs=0 if trace else MIN_SAMPLES)
+            if trace:
+                main = solo_loop(source, main_seconds)
+            else:
+                main = solo_loop(source, main_seconds, min_jobs=MIN_SAMPLES, block=generated["block"])
         finally:
             persist = source.close()
         out["peak_rss_mb"] = peak_rss_mb()
@@ -433,14 +440,14 @@ def measure(generated: dict, seconds: float, trace: bool, workdir: str) -> dict[
 
 
 def trace_phases(generated: dict, seconds: float, workdir: str, main: dict) -> dict[str, Any]:
-    """The traced loop, then a second traced pass over the count prefix.
+    """The traced loop, then a second traced pass over the first block.
 
     After a served phase, an untraced solo loop runs first for half the
     phase, so that the overhead ratio compares solo with solo.
     """
     from spans import Tracer
 
-    prefix = generated["count_prefix"]
+    block = generated["block"]
     plain: dict = {"records": []}
     if generated["mode"] == "builds":
         seconds /= 2
@@ -461,7 +468,7 @@ def trace_phases(generated: dict, seconds: float, workdir: str, main: dict) -> d
             traced = TracedRun(tracer)
             source = SoloSource(generated, os.path.join(workdir, f"memo-{tag}.sqlite"))
             try:
-                result = solo_loop(source, limit, traced=traced, min_jobs=prefix)
+                result = solo_loop(source, limit, traced=traced, min_jobs=block)
             finally:
                 source.close()
             passes.append((traced, result))

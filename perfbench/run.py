@@ -2,8 +2,8 @@
 
 Run one workload from the root of a checkout::
 
-    python3 perfbench/run.py --workload cold_families --seed 1 --seconds 35 --trace 0
-    python3 perfbench/run.py --workload exec_towers --seed 1 --seconds 35 --trace 1
+    python3 perfbench/run.py --workload cold_families --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload exec_towers --seed 1 --seconds 30 --trace 1
 
 The last line of standard output is one JSON object
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0`` reports
@@ -30,26 +30,36 @@ from process start to ready: ``repro`` imported, a Session up and one
 ``stats`` job answered.  The measured loop then runs in one more fresh
 process (``measure.py run``), which receives only the job specs.  Every
 loop is closed: one caller sends its next job when the previous result
-is in, through ``Session.execute``.
+is in, through ``Session.execute``.  Each stream repeats blocks that hold
+the same jobs in a seeded order, and the loop runs whole blocks only, so
+every seed and every run times the same mix of jobs.
 
 Workloads
 ---------
 ``cold_families`` — solo, one fresh ``Session`` per job, one caller.
     Shuffled blocks of ``run`` and ``compile`` jobs over ``nested_lambdas``
-    (depth 10-40, one seeded draw per quarter of the range),
-    ``wide_capture`` closed over its context (every width 2-6 in every
-    block), ``church_sum`` and ``pair_tower`` (4-16, stratified likewise).
+    (depth 16, 24, 32, 40), ``wide_capture`` closed over its context
+    (every width 2-6), ``church_sum`` and ``pair_tower`` (4, 8, 12, 16):
+    34 jobs a block, the seed orders them.  Sizes are fixed points of each
+    range because a job's cost is steep in its size (~50 ms at depth 16,
+    ~700 ms at depth 40): sizes drawn per seed moved throughput by more
+    than the benchmark's bound between seeds.
     Why: no cache is ever warm, so CC-CC verification and closure
     conversion dominate while service, wire and backend do nothing.  It
     is the no-repeat control for caching work, and the widest captures
     stay in so that their exponential verify cost shows in p95.
 ``warm_builds`` — two ``build_stream`` component builds (two iterations
-    of a ``reset`` and three passes over a 128-program normalize/check/
-    compile/run/compile_py gen corpus of depth-2 terms), one on the text
+    of a ``reset`` and five passes over a 128-program gen corpus of
+    depth-2 terms, taken at evenly spaced size ranks of a 512-program
+    seeded pool, whose kinds rotate normalize, check, compile_py,
+    compile, normalize, check, compile_py, run), one on the text
     wire and one on the binary wire, interleaved, one Session per build,
     both sharing a fresh persistent memo store.
     Why: small repeated jobs dominated by overhead: ingest, kernel caches
     and the persist tier.  Resets make the caches take fills beside reads.
+    A block is one round of both builds.  Warm normalize/check/compile_py
+    hits are 60% of the jobs, so the median is one of them, not a value
+    in the gap between those hits and the fills (see ``inputs.py``).
     The only workload that exercises wire and, in its traced run, service.
     The traced run first serves the same streams over one connection to an
     in-process ``serve_background`` endpoint with a fixed pool of 2 workers
@@ -79,11 +89,13 @@ failed job and makes the exit code non-zero.
 End-to-end metrics (``--trace 0``)
 ----------------------------------
 ``setup_s``          median seconds from a fresh process to ready.
-``jobs_per_s``       jobs completed with a correct result per wall second.
+``jobs_per_s``       jobs completed with a correct result per wall second,
+                     over the whole blocks of the run.
 ``latency_p50_ms``   per-job wall time of the call into ``Session.execute``.
-``latency_p95_ms``   A run takes at least 200 jobs (past ``--seconds`` if
-                     need be), so at least ten lie beyond p95; the record
-                     holds the sample count and the number beyond p95.
+``latency_p95_ms``   A run takes at least 200 jobs and ends at the end of a
+                     block (past ``--seconds`` if need be), so at least ten
+                     lie beyond p95; the record holds the sample count and
+                     the number beyond p95.
 ``ok_frac``          correct jobs / jobs attempted, i.e. 1 - failed_frac
                      (reported as its complement so that it is never 0).
 ``peak_rss_mb``      peak RSS of the measured process.
@@ -165,7 +177,7 @@ ROOT = HERE.parent
 WORKLOADS = ("cold_families", "warm_builds", "exec_towers")
 
 #: Fresh processes timed per run for setup_s.
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
 #: A run must finish within this many seconds, whatever --seconds says.
 RUN_DEADLINE = 170.0
 
@@ -364,7 +376,7 @@ def per_layer(out: dict) -> tuple[dict[str, float], dict, list[str]]:
 def child_input(generated: dict) -> dict:
     """Only the job specs: the measured process never sees references."""
     keys = ("mode", "builds") if generated["mode"] == "builds" else ("mode", "stream")
-    return {**{key: generated[key] for key in keys}, "count_prefix": generated["count_prefix"]}
+    return {**{key: generated[key] for key in keys}, "block": generated["block"]}
 
 
 def run(args: argparse.Namespace) -> tuple[dict, dict]:
