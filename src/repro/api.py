@@ -502,6 +502,7 @@ class Session:
             term = self._coerce(program)
             context = ctx if ctx is not None else cc.Context.empty()
             before = self._state.hit_counts()
+            work_before = dict(self._state.verify_work)
             check_budget = self.budget()
             verify_budget = self.budget()
             compilation = compile_term(
@@ -524,7 +525,14 @@ class Session:
                 # The translation itself is fuel-free; its deterministic
                 # weight is the size of the CC-CC term it emitted.
                 profile.phase("closconv", weight=cccc.term_size(compilation.target))
-                profile.phase("verify", weight=verify_budget.spent)
+                # Verify's weight is fuel; its counters are the checker's
+                # deterministic work (instantiations, materialized nodes).
+                work = self._state.verify_work
+                profile.phase(
+                    "verify",
+                    weight=verify_budget.spent,
+                    counters={key: work[key] - work_before[key] for key in work},
+                )
             return CompileResult(
                 compilation=compilation,
                 steps=check_budget.spent + verify_budget.spent,

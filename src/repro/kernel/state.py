@@ -175,6 +175,9 @@ class KernelState:
         self.fuel = fuel
         self.normalization = NormalizationCache()
         self.judgments = JudgmentCache()
+        #: Deterministic work counters of the CC-CC checker
+        #: (:mod:`repro.cccc.typecheck`), cumulative like the hit counters.
+        self.verify_work = {"instantiations": 0, "materialized_nodes": 0}
         #: The attached persistent memo tier (repro.wire.persist), or None.
         self.persistent: Any = None
         self._counter = itertools.count(1)

@@ -39,11 +39,14 @@ __all__ = ["subst"]
 Substitution = dict[str, Any]
 
 
-def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
+def subst(
+    lang: Language, term: Any, mapping: Substitution, built: list[int] | None = None
+) -> Any:
     """Apply the parallel substitution ``mapping`` to ``term``.
 
     Names not in ``mapping`` are untouched.  The result shares unmodified
-    subterms with the input wherever possible.
+    subterms with the input wherever possible.  When ``built`` is given,
+    ``built[0]`` is increased by the number of nodes the walk constructed.
     """
     if not mapping:
         return term
@@ -65,6 +68,7 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
     # (``work`` is the ``(spec, binder_names)`` pair) pops its children's
     # results off the value stack and rebuilds.
     results: list[Any] = []
+    rebuilt = 0
     stack: list[tuple[Any, Substitution, set[str], Any]] = [
         (term, relevant, capturable, None)
     ]
@@ -89,7 +93,11 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
                 else:
                     value = getattr(node, name)
                 args.append(value)
-            results.append(type(node)(*args) if changed else node)
+            if changed:
+                rebuilt += 1
+                results.append(type(node)(*args))
+            else:
+                results.append(node)
             continue
 
         if not current:
@@ -134,4 +142,6 @@ def subst(lang: Language, term: Any, mapping: Substitution) -> Any:
         for child in reversed(spec.children):
             depth = len(child.binders)
             stack.append((getattr(node, child.attr), maps[depth], caps[depth], None))
+    if built is not None:
+        built[0] += rebuilt
     return results[-1]

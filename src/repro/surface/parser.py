@@ -18,6 +18,14 @@ binds tighter than ``->``, which is right-associative)::
               | '<' term ',' term '>' 'as' prefix
               | '(' term ')'
     binder  ::= '(' IDENT+ ':' term ')'
+
+Nesting is bounded: a term may nest at most :data:`MAX_NESTING` levels
+deep (parentheses, binders, pair components, ``let``/``if`` parts).  The
+parser recurses a few Python frames per level, so deeper text would
+overflow the interpreter stack; past the bound it raises a
+:class:`ParseError` at the offending token instead.  The bound is a fixed
+number, not a probe of the remaining stack, so the same text is accepted
+or rejected identically wherever it is parsed.
 """
 
 from __future__ import annotations
@@ -26,7 +34,12 @@ from repro import cc
 from repro.common.errors import ParseError
 from repro.surface.lexer import Token, tokenize
 
-__all__ = ["parse_term"]
+__all__ = ["MAX_NESTING", "parse_term"]
+
+#: The deepest term nesting accepted.  About five Python frames per level
+#: keeps the deepest accepted parse well inside the default recursion limit
+#: of 1000, with room for the caller's own frames.
+MAX_NESTING = 128
 
 
 def parse_term(source: str) -> cc.Term:
@@ -37,10 +50,14 @@ def parse_term(source: str) -> cc.Term:
     return term
 
 
+_PREFIX_NODES = {"fst": cc.Fst, "snd": cc.Snd, "succ": cc.Succ}
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -87,17 +104,25 @@ class _Parser:
     # -- grammar ---------------------------------------------------------------
 
     def term(self) -> cc.Term:
+        # Every nested term passes through here.  An error aborts the whole
+        # parse, so the depth needs no restoring on the way out.
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"term nests deeper than {MAX_NESTING} levels")
         if self.at("symbol", "\\") or self.at("keyword", "fun"):
-            return self.lambda_()
-        if self.at("keyword", "forall"):
-            return self.quantifier(cc.Pi)
-        if self.at("keyword", "exists"):
-            return self.quantifier(cc.Sigma)
-        if self.at("keyword", "let"):
-            return self.let_()
-        if self.at("keyword", "if"):
-            return self.if_()
-        return self.arrow()
+            term = self.lambda_()
+        elif self.at("keyword", "forall"):
+            term = self.quantifier(cc.Pi)
+        elif self.at("keyword", "exists"):
+            term = self.quantifier(cc.Sigma)
+        elif self.at("keyword", "let"):
+            term = self.let_()
+        elif self.at("keyword", "if"):
+            term = self.if_()
+        else:
+            term = self.arrow()
+        self.depth -= 1
+        return term
 
     def binders(self) -> list[tuple[str, cc.Term]]:
         """One or more ``(x y : A)`` groups, flattened."""
@@ -197,13 +222,14 @@ class _Parser:
         return False
 
     def prefix(self) -> cc.Term:
-        if self.eat("keyword", "fst"):
-            return cc.Fst(self.prefix())
-        if self.eat("keyword", "snd"):
-            return cc.Snd(self.prefix())
-        if self.eat("keyword", "succ"):
-            return cc.Succ(self.prefix())
-        return self.atom()
+        # Iterative, so a long ``fst``/``snd``/``succ`` chain costs no stack.
+        wrappers: list[type] = []
+        while self.at("keyword") and self.peek().text in _PREFIX_NODES:
+            wrappers.append(_PREFIX_NODES[self.advance().text])
+        term = self.atom()
+        for node in reversed(wrappers):
+            term = node(term)
+        return term
 
     def atom(self) -> cc.Term:
         token = self.peek()

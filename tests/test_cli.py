@@ -30,6 +30,14 @@ class TestCheck:
     def test_missing_file_fails(self, capsys):
         assert main(["check", "/nonexistent/program.cc"]) == 1
 
+    def test_too_deep_text_fails_with_one_line(self, tmp_path, capsys):
+        source = tmp_path / "deep.cc"
+        source.write_text("(" * 400 + "x" + ")" * 400 + "\n")
+        assert main(["check", str(source)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse error at 1:")
+        assert err.strip().count("\n") == 0
+
 
 class TestCompile:
     def test_compile_verified(self, capsys):

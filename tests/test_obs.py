@@ -69,6 +69,21 @@ class TestProfileReconciliation:
             profile.totals()["labels"].values()
         )
 
+    def test_verify_phase_carries_work_counters(self):
+        def verify_counters(depth: int) -> dict[str, int]:
+            binders = " ".join(f"(x{i} : Nat)" for i in range(depth))
+            session = Session(name="prof-verify")
+            with obs.activate() as profile:
+                session.compile(f"\\ {binders}. x0")
+            return profile.totals()["phases"]["verify"]["counters"]
+
+        counters = verify_counters(40)
+        assert set(counters) == {"instantiations", "materialized_nodes"}
+        assert counters["instantiations"] > 0 and counters["materialized_nodes"] > 0
+        assert verify_counters(40) == counters  # host-stable: same units, same counts
+        # The work grows with the nest: one instantiation chain per closure.
+        assert verify_counters(10)["instantiations"] < counters["instantiations"]
+
     def test_speedscope_document_is_wellformed(self):
         _, profile = self._profiled_run(TWICE, engine=None)
         document = profile.to_speedscope(name="twice")

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import cc
+from repro import api, cc
 from repro.common.errors import ParseError
-from repro.surface import parse_term, tokenize
+from repro.surface import parse_term, to_surface, tokenize
+from repro.surface.parser import MAX_NESTING
 
 
 class TestLexer:
@@ -159,6 +160,70 @@ class TestParserNegative:
         with pytest.raises(ParseError) as excinfo:
             parse_term("f\n  )")
         assert "2:" in str(excinfo.value)
+
+
+def _nested_parens(levels: int) -> str:
+    """A term nesting exactly ``levels`` deep: the top level plus parentheses."""
+    return "(" * (levels - 1) + "x" + ")" * (levels - 1)
+
+
+def _pair_tower_text(depth: int) -> str:
+    annot: cc.Term = cc.Nat()
+    term: cc.Term = cc.nat_literal(depth)
+    for index in range(depth - 1, 0, -1):
+        annot = cc.Sigma(f"t{index}", cc.Nat(), annot)
+        term = cc.Pair(cc.nat_literal(index), term, annot)
+    for _ in range(depth - 1):
+        term = cc.Snd(term)
+    return to_surface(term)
+
+
+class TestNestingBound:
+    def test_bound_is_exact(self):
+        assert parse_term(_nested_parens(MAX_NESTING)) == cc.Var("x")
+        with pytest.raises(ParseError) as excinfo:
+            parse_term(_nested_parens(MAX_NESTING + 1))
+        message = str(excinfo.value)
+        assert f"1:{MAX_NESTING + 1}:" in message
+        assert f"deeper than {MAX_NESTING} levels" in message
+
+    def test_deep_text_is_a_parse_error_not_a_recursion_error(self):
+        with pytest.raises(ParseError):
+            parse_term(_pair_tower_text(120))
+        with pytest.raises(ParseError):
+            parse_term(_nested_parens(5000))
+
+    def test_pair_tower_60_still_parses(self):
+        assert isinstance(parse_term(_pair_tower_text(60)), cc.Snd)
+
+    def test_long_prefix_chain_costs_no_nesting(self):
+        term = parse_term("succ " * 3000 + "0")
+        count = 0
+        while isinstance(term, cc.Succ):
+            count, term = count + 1, term.pred
+        assert (count, term) == (3000, cc.Zero())
+
+    def test_verdict_does_not_depend_on_the_callers_stack(self):
+        text = _nested_parens(MAX_NESTING + 1)
+
+        def nested(frames: int) -> str:
+            if frames:
+                return nested(frames - 1)
+            try:
+                parse_term(text)
+            except ParseError as error:
+                return str(error)
+            return "parsed"
+
+        assert nested(0) == nested(150)
+
+    def test_session_returns_an_error_document(self):
+        result = api.Session().execute(
+            {"id": "deep", "kind": "check", "program": _pair_tower_text(120)}
+        )
+        assert not result.ok
+        assert result.error["type"] == "ParseError"
+        assert "deeper than" in result.error["message"]
 
 
 class TestRoundTrips:
