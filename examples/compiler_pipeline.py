@@ -62,9 +62,9 @@ def main() -> None:
             program_context(result.program)  # re-type-check the hoisted program
 
         # Untyped baseline: erase → untyped conversion → untyped CBV,
-        # reusing the term the session already parsed.
+        # reusing the source term the run reports (warm or cold).
         baseline_stats = EvalStats()
-        source_term = result.compile_result.compilation.source
+        source_term = result.source
         baseline_value = ueval(uconvert(erase(source_term)), baseline_stats)
 
         print(

@@ -191,12 +191,14 @@ def _compile_to_py(session: Session, args: argparse.Namespace, result) -> int:
     """``compile --target py``: stage into the host backend, print the artifact."""
     from repro.backend import (
         ArtifactMeta,
+        VerifiedProgram,
         artifact_key,
         compile_program,
         encode_artifact,
         store_artifact,
     )
 
+    verify = not args.no_verify
     with session.activate():
         program = hoist(result.target)
         compiled = compile_program(program)
@@ -206,8 +208,9 @@ def _compile_to_py(session: Session, args: argparse.Namespace, result) -> int:
             verified=result.verified,
         )
         source = cc.intern(result.compilation.source)
-        key = artifact_key(source, engine=session.engine, verify=not args.no_verify)
-        store_artifact(session.state, key, compiled, meta)
+        entry = VerifiedProgram(source, program, meta, compiled)
+        store_artifact(session.state, entry, engine=session.engine, verify=verify)
+        key = artifact_key(source, engine=session.engine, verify=verify)
         blob = encode_artifact(compiled.program, meta)
     session.detach_memo_store()  # flush the artifact row (no-op when unattached)
     document = {

@@ -44,7 +44,7 @@ from typing import Any, Mapping
 from repro import cc, cccc
 from repro.backend import (
     ArtifactMeta,
-    artifact_key,
+    VerifiedProgram,
     compile_program,
     load_artifact,
     store_artifact,
@@ -95,6 +95,13 @@ _MACHINE_COUNTER_FIELDS = (
 def _machine_counters(stats: Any) -> dict[str, int]:
     """Execution counters as a dict — MachineStats and CompiledStats alike."""
     return {name: getattr(stats, name, 0) for name in _MACHINE_COUNTER_FIELDS}
+
+
+def _compile_diagnostics(verify: bool) -> tuple[str, ...]:
+    """What a compile (or a run, on either side of the cache) says it checked."""
+    if verify:
+        return ("target re-checked against the translated type (Theorem 5.6)",)
+    return ("verification skipped (verify=False)",)
 
 
 # --------------------------------------------------------------------------
@@ -221,10 +228,11 @@ class RunResult:
     host closures, :mod:`repro.backend`).  The cost counters mirror
     :class:`~repro.machine.machine.MachineStats` on both backends — that
     equality is the compiled backend's differential contract.  On a warm
-    artifact-cache hit the pipeline never re-compiles, so
-    ``compile_result`` is None there; the flat ``check_steps``/
-    ``verify_steps``/``verified`` fields (replayed from the artifact) are
-    the stable surface either way.
+    verified-program cache hit — on either backend — the pipeline never
+    re-compiles, so ``compile_result`` is None there; ``source`` (the
+    interned source term) and the flat ``check_steps``/``verify_steps``/
+    ``verified`` fields (replayed from the cache entry) are the stable
+    surface either way.
     """
 
     compile_result: CompileResult | None
@@ -513,11 +521,7 @@ class Session:
                 source_budget=check_budget,
                 verify_budget=verify_budget,
             )
-            diagnostics = (
-                ("target re-checked against the translated type (Theorem 5.6)",)
-                if verify
-                else ("verification skipped (verify=False)",)
-            )
+            diagnostics = _compile_diagnostics(verify)
             hits = self._hit_delta(before)
             profile = _PROFILE[0]
             if profile is not None:
@@ -555,119 +559,83 @@ class Session:
 
         ``engine`` picks the execution backend: ``"machine"`` (default)
         interprets on the CBV abstract machine; ``"compiled"`` stages the
-        hoisted program into host Python closures (:mod:`repro.backend`),
-        consulting the per-session and persistent artifact caches first —
-        a warm hit skips type checking, closure conversion, verification,
-        and hoisting entirely, replaying the cold run's recorded fuel so
-        its result document is byte-identical.  Values, error documents,
-        and every cost counter agree across backends.
+        hoisted program into host Python closures (:mod:`repro.backend`).
+        Both backends share one path up to execution: the verified hoisted
+        program is looked up in the session's (and the persistent tier's)
+        verified-program cache, keyed on the interned source and the
+        compile options, and filled on a miss.  A warm hit skips type
+        checking, closure conversion, verification, and hoisting entirely,
+        replaying the cold run's recorded fuel so its result document is
+        byte-identical.  Only closed programs (the empty context — every
+        service job, after :func:`repro.gen.jobs.close_over`) are cached;
+        open-context and profiled runs compile fresh.  Values, error
+        documents, and every cost counter agree across backends.
         """
         backend = validate_backend(engine if engine is not None else "machine")
-        if backend == "compiled":
-            return self._run_compiled(program, ctx=ctx, verify=verify)
-        with self.activate():
-            compiled = self.compile(program, ctx=ctx, verify=verify)
-            hoisted = hoist(compiled.target)
-            profile = _PROFILE[0]
-            label_counts: dict[str, int] | None = {} if profile is not None else None
-            value, stats = run(hoisted, label_counts=label_counts)
-            if profile is not None:
-                profile.phase("hoist", weight=hoisted.code_count)
-                profile.phase(
-                    "execute",
-                    weight=stats.steps,
-                    counters=_machine_counters(stats),
-                    labels=label_counts,
-                )
-            return RunResult(
-                compile_result=compiled,
-                program=hoisted,
-                source=compiled.compilation.source,
-                value=value,
-                observation=machine_observation(value),
-                machine_steps=stats.steps,
-                closure_allocs=stats.closure_allocs,
-                tuple_allocs=stats.tuple_allocs,
-                projections=stats.projections,
-                env_allocs=stats.env_allocs,
-                max_env_size=stats.max_env_size,
-                compile_steps=compiled.steps,
-                check_steps=compiled.check_steps,
-                verify_steps=compiled.verify_steps,
-                verified=compiled.verified,
-                engine=compiled.engine,
-                backend="machine",
-                session=self.name,
-                cache_hits=dict(compiled.cache_hits),
-                diagnostics=compiled.diagnostics,
-            )
-
-    def _run_compiled(
-        self,
-        program: str | cc.Term,
-        ctx: cc.Context | None,
-        verify: bool,
-    ) -> RunResult:
-        """The ``engine="compiled"`` half of :meth:`run`.
-
-        Artifacts are keyed on the interned source term plus the compile
-        options, so only closed programs (the empty context — every
-        service job, after :func:`repro.gen.jobs.close_over`) are cached;
-        an open-context run compiles fresh and skips the cache.  A warm
-        hit charges the artifact's recorded check/verify fuel into fresh
-        budgets, so a fuel-starved session fails at exactly the step a
-        cold compile would have.
-        """
         with self.activate():
             term = self._coerce(program)
             source = cc.intern(term)
             profile = _PROFILE[0]
+            # Profiled runs attribute every front-end phase and execute an
+            # *instrumented* program (staged block closures carry the
+            # per-label counter dict), so they neither read nor fill the
+            # cache; results are unaffected — cold and warm runs are
+            # byte-identical by fuel replay.
             cacheable = (ctx is None or len(ctx) == 0) and profile is None
-            # Profiled runs stage a freshly *instrumented* program: its
-            # block closures carry the per-label counter dict, so it must
-            # neither come from nor enter the artifact caches.  Results
-            # are unaffected — cold and warm runs are byte-identical by
-            # the artifact tier's fuel-replay contract.
             label_counts: dict[str, int] | None = {} if profile is not None else None
-            key = (
-                artifact_key(source, engine=self.engine, verify=verify)
+            before = self._state.hit_counts()
+            entry = (
+                load_artifact(self._state, source, engine=self.engine, verify=verify)
                 if cacheable
                 else None
             )
-            before = self._state.hit_counts()
-            cached = load_artifact(self._state, key) if key is not None else None
-            if cached is not None:
-                compiled_program, meta = cached
-                compile_result = None
+            compile_result = None
+            if entry is None:
+                compile_result = self.compile(term, ctx=ctx, verify=verify)
+                entry = VerifiedProgram(
+                    source,
+                    hoist(compile_result.target),
+                    ArtifactMeta(
+                        check_steps=compile_result.check_steps,
+                        verify_steps=compile_result.verify_steps,
+                        verified=compile_result.verified,
+                    ),
+                )
+                if cacheable:
+                    store_artifact(self._state, entry, engine=self.engine, verify=verify)
+            else:
                 # Replay the recorded fuel: same budgets, same order, same
                 # exhaustion point as the cold compile.
-                check_budget = self.budget()
-                check_budget.charge(meta.check_steps)
-                verify_budget = self.budget()
-                verify_budget.charge(meta.verify_steps)
+                self.budget().charge(entry.meta.check_steps)
+                self.budget().charge(entry.meta.verify_steps)
+            if backend == "machine":
+                value, stats = run(entry.program, label_counts=label_counts)
+                artifact = None
+                diagnostics = _compile_diagnostics(verify)
             else:
-                compile_result = self.compile(term, ctx=ctx, verify=verify)
-                hoisted = hoist(compile_result.target)
-                compiled_program = compile_program(hoisted, label_counts=label_counts)
-                meta = ArtifactMeta(
-                    check_steps=compile_result.check_steps,
-                    verify_steps=compile_result.verify_steps,
-                    verified=compile_result.verified,
+                compiled = entry.compiled
+                if compiled is None:
+                    compiled = compile_program(entry.program, label_counts=label_counts)
+                    if cacheable:
+                        entry.compiled = compiled
+                value, stats = compiled.execute()
+                artifact = compiled.source_hash
+                diagnostics = (
+                    f"compiled {compiled.code_count} code block(s) "
+                    f"to host closures (artifact {artifact})",
                 )
-                if key is not None:
-                    store_artifact(self._state, key, compiled_program, meta)
-            value, stats = compiled_program.execute()
             if profile is not None:
-                profile.phase("hoist", weight=compiled_program.code_count)
+                profile.phase("hoist", weight=entry.program.code_count)
                 profile.phase(
                     "execute",
                     weight=stats.steps,
                     counters=_machine_counters(stats),
                     labels=label_counts,
                 )
+            meta = entry.meta
             return RunResult(
                 compile_result=compile_result,
-                program=compiled_program.program,
+                program=entry.program,
                 source=source,
                 value=value,
                 observation=machine_observation(value),
@@ -682,14 +650,11 @@ class Session:
                 verify_steps=meta.verify_steps,
                 verified=meta.verified,
                 engine=self.engine,
-                backend="compiled",
+                backend=backend,
                 session=self.name,
-                artifact=compiled_program.source_hash,
+                artifact=artifact,
                 cache_hits=self._hit_delta(before),
-                diagnostics=(
-                    f"compiled {compiled_program.code_count} code block(s) "
-                    f"to host closures (artifact {compiled_program.source_hash})",
-                ),
+                diagnostics=diagnostics,
             )
 
     def link(

@@ -3,8 +3,9 @@
 The layer the paper's closure conversion was building toward: hoisted
 CC-CC programs — static code table, flat environments — are translated
 once per block into host Python closures (:mod:`repro.backend.compile`),
-serialized as content-addressed artifacts cached in the persistent tier
-and shared across pool workers (:mod:`repro.backend.artifact`), and run
+served from the verified-program cache both run backends share, whose
+entries travel as content-addressed artifacts through the persistent
+tier to every pool worker (:mod:`repro.backend.artifact`), and run
 with cost counters that mirror the abstract machine's exactly
 (:mod:`repro.backend.stats`).  ``machine/machine.py`` stays verbatim as
 the differential oracle; the differential compares values, error
@@ -14,6 +15,7 @@ documents, *and* counters.
 from repro.backend.artifact import (
     ARTIFACT_VERSION,
     ArtifactMeta,
+    VerifiedProgram,
     artifact_key,
     decode_artifact,
     encode_artifact,
@@ -29,6 +31,7 @@ __all__ = [
     "ArtifactMeta",
     "CompiledProgram",
     "CompiledStats",
+    "VerifiedProgram",
     "artifact_key",
     "compile_program",
     "decode_artifact",

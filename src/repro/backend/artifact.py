@@ -1,14 +1,24 @@
-"""Serializable compiled-program artifacts: compile once, run everywhere.
+"""The verified-program cache both run backends share, and its artifacts.
 
-A compiled program is a tree of live Python closures and cannot itself
-cross a process boundary.  What *can* is the thing it is a pure function
-of: the α-canonical hoisted source program plus the compile options — so
-that is what an artifact carries, in the same content-addressed binary
-encoding :mod:`repro.wire` ships terms in, together with the recorded
-check/verify fuel of the cold compile.  Any worker that holds the artifact
-reconstitutes the compiled closures with one cheap staging pass, skipping
-the expensive half of the pipeline (type checking, closure conversion,
-Theorem 5.6 verification, hoisting) entirely.
+Everything in front of execution — type checking, closure conversion,
+Theorem 5.6 verification, hoisting — is a pure function of the source
+program and the compile options.  Its output, the hoisted program plus
+the recorded check/verify fuel, is therefore cached once per closed
+source and served to *both* run backends: the machine interprets the
+entry's :class:`~repro.machine.hoist.Program` directly, and the compiled
+backend stages it into host closures the first time it asks, keeping the
+staging on the entry (:class:`VerifiedProgram`).  A warm hit charges the
+recorded fuel into fresh budgets, so its result document — including the
+position of a fuel-exhaustion error — is byte-identical to the cold one.
+
+The in-memory tier is :attr:`KernelState.verified_programs` (cleared by
+``clear_caches``/``reset`` like any other state cache), keyed on the
+interned source's identity plus ``(engine, verify)``: a lookup costs one
+dict probe and no hashing.  A compiled program is a tree of live Python
+closures and cannot cross a process boundary; what *can* is the thing it
+is a pure function of — the α-canonical hoisted program — so that is what
+an **artifact** carries to the persistent tier, in the same
+content-addressed binary encoding :mod:`repro.wire` ships terms in.
 
 Artifact layout (all integers LEB128 varints)::
 
@@ -19,23 +29,17 @@ Artifact layout (all integers LEB128 varints)::
     block*                           -- label, then a wire-encoded CodeLam
     main                             -- wire-encoded term
 
-Artifacts are keyed by **source content**, before any compilation work:
-``artifact_key`` hashes the interned CC source term's wire content hash
-together with the options that change the output (kernel engine, whether
-Theorem 5.6 verification ran) and the artifact version.  Two sessions —
-or two pool workers, or two runs separated by a restart — that submit
-α-equivalent programs therefore agree on the key byte for byte, which is
-what lets the ``artifact`` table of the persistent SQLite tier
-(:mod:`repro.wire.persist`) act as a shared compile cache: sealed rows,
-seal-or-miss reads, and the recorded fuel replayed so a warm run's result
-document — including the position of a fuel-exhaustion error — is
-byte-identical to the cold one.
-
-The in-memory half is a per-session dict on the
-:class:`~repro.kernel.state.KernelState` (registered as a state cache, so
-``clear_caches``/``reset`` empty it like any other): key → live
-:class:`CompiledProgram`, so repeated warm runs in one session skip even
-the decode+staging pass.
+Persistent rows are keyed by **source content**: ``artifact_key`` hashes
+the interned CC source term's wire content hash together with the
+options that change the output (kernel engine, whether Theorem 5.6
+verification ran) and the artifact version.  Two sessions — or two pool
+workers, or two runs separated by a restart — that submit α-equivalent
+programs therefore agree on the key byte for byte, which is what lets the
+``artifact`` table of the persistent SQLite tier (:mod:`repro.wire.persist`)
+act as a shared cache for machine and compiled runs alike: sealed rows,
+seal-or-miss reads.  The content key and the canonical program are only
+computed when a persistent tier is attached, so a cold run without one
+pays nothing for the cache beyond one dict store.
 """
 
 from __future__ import annotations
@@ -45,11 +49,10 @@ from hashlib import blake2b
 from typing import Any
 
 from repro import cc, cccc
-from repro.backend.compile import CompiledProgram, compile_program
+from repro.backend.compile import CompiledProgram, canonical_program
 from repro.cc.ast import LANGUAGE as CC_LANGUAGE
 from repro.cccc.ast import LANGUAGE as CCCC_LANGUAGE
 from repro.common.errors import ReproError, WireDecodeError
-from repro.kernel.cache import DictCache
 from repro.machine.hoist import Program
 from repro.wire.codec import (
     _Reader,
@@ -63,6 +66,7 @@ from repro.wire.codec import (
 __all__ = [
     "ARTIFACT_VERSION",
     "ArtifactMeta",
+    "VerifiedProgram",
     "artifact_key",
     "decode_artifact",
     "encode_artifact",
@@ -163,57 +167,66 @@ def decode_artifact(data: bytes) -> tuple[Program, ArtifactMeta]:
     return Program(table, main), ArtifactMeta(check_steps, verify_steps, bool(flag))
 
 
-# -- per-session cache plumbing ----------------------------------------------
+# -- the verified-program cache ------------------------------------------------
 
 
-def _memory_cache(state: Any) -> dict[bytes, tuple[CompiledProgram, ArtifactMeta]]:
-    """The session's key → live compiled program cache (created on demand)."""
-    cache = getattr(state, "backend_compiled", None)
-    if cache is None:
-        cache = {}
-        state.backend_compiled = cache
-        state.register(DictCache("backend.compiled", cache))
-    return cache
+@dataclass(eq=False)
+class VerifiedProgram:
+    """One cache entry: the verified hoisted program of one closed source.
+
+    ``source`` is the interned CC source the entry was filled for.  The
+    entry pins it, so the identity the in-memory key holds can never be
+    recycled while the entry lives.  ``compiled`` is the host-closure
+    staging of ``program``: None until the compiled backend first runs
+    the entry, then kept here for every later run.
+    """
+
+    source: cc.Term
+    program: Program
+    meta: ArtifactMeta
+    compiled: CompiledProgram | None = None
 
 
-def load_artifact(state: Any, key: bytes) -> tuple[CompiledProgram, ArtifactMeta] | None:
-    """The cached compiled program for ``key``, or None.
+def load_artifact(
+    state: Any, source: cc.Term, *, engine: str, verify: bool
+) -> VerifiedProgram | None:
+    """The cached verified program of ``source`` under the options, or None.
 
-    Memory first; then the persistent tier's ``artifact`` table, staging
-    the decoded program back into closures and memoizing the result.  An
-    undecodable or uncompilable row is a miss, never an error — the same
+    Memory first, keyed on the interned source's identity; then, only
+    when a persistent tier is attached, the ``artifact`` table under the
+    content key :func:`artifact_key`.  A decoded row is memoized but not
+    staged.  An undecodable row is a miss, never an error — the same
     degradation contract as the memo tier.
     """
-    cache = _memory_cache(state)
-    found = cache.get(key)
+    cache = state.verified_programs
+    found = cache.get((id(source), engine, verify))
     if found is not None:
         return found
     tier = state.persistent
     if tier is None:
         return None
-    row = tier.store.get_artifact(key)
+    row = tier.store.get_artifact(artifact_key(source, engine=engine, verify=verify))
     if row is None:
         return None
     _steps, blob = row
     try:
         program, meta = decode_artifact(blob)
-        compiled = compile_program(program)
     except ReproError:
         return None
-    cache[key] = (compiled, meta)
-    return compiled, meta
+    return cache.put((id(source), engine, verify), VerifiedProgram(source, program, meta))
 
 
-def store_artifact(
-    state: Any, key: bytes, compiled: CompiledProgram, meta: ArtifactMeta
-) -> None:
-    """Publish a freshly compiled program to every cache tier available."""
-    cache = _memory_cache(state)
-    cache[key] = (compiled, meta)
+def store_artifact(state: Any, entry: VerifiedProgram, *, engine: str, verify: bool) -> None:
+    """Publish a freshly verified program to every cache tier available.
+
+    Only the persistent tier needs the α-canonical program (and the
+    content key); a session without one stores the entry as it is.
+    """
+    state.verified_programs.put((id(entry.source), engine, verify), entry)
     tier = state.persistent
     if tier is not None:
         tier.store.put_artifact(
-            key,
-            meta.check_steps + meta.verify_steps,
-            encode_artifact(compiled.program, meta),
+            artifact_key(entry.source, engine=engine, verify=verify),
+            entry.meta.check_steps + entry.meta.verify_steps,
+            encode_artifact(canonical_program(entry.program), entry.meta),
         )

@@ -75,6 +75,7 @@ __all__ = [
     "BlockFn",
     "CompiledProgram",
     "StagedFn",
+    "canonical_program",
     "compile_program",
 ]
 
@@ -564,6 +565,21 @@ def _build(
     return table, main
 
 
+def canonical_program(program: Program) -> Program:
+    """``program`` with every block and ``main`` interned (α-canonical).
+
+    Interning is memoized per term, so canonicalizing a program twice
+    costs one cache probe per block the second time.
+    """
+    return Program(
+        {
+            label: cccc.intern(code)  # type: ignore[misc]
+            for label, code in program.code_table.items()
+        },
+        cccc.intern(program.main),
+    )
+
+
 def compile_program(
     program: Program, label_counts: dict[str, int] | None = None
 ) -> CompiledProgram:
@@ -580,13 +596,7 @@ def compile_program(
     closures), which the API layer enforces by bypassing the artifact
     caches whenever a profile is active.
     """
-    interned = Program(
-        {
-            label: cccc.intern(code)  # type: ignore[misc]
-            for label, code in program.code_table.items()
-        },
-        cccc.intern(program.main),
-    )
+    interned = canonical_program(program)
     size = cccc.term_size(interned.main) + sum(
         cccc.term_size(code) for code in interned.code_table.values()
     )

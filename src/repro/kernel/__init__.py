@@ -39,7 +39,7 @@ existing callers run against the process-default session unchanged.
 
 from repro.kernel.alpha import alpha_equal
 from repro.kernel.budget import DEFAULT_FUEL, Budget
-from repro.kernel.cache import DictCache, TermCache, cache_stats, register_cache, reset_caches
+from repro.kernel.cache import DictCache, HitCache, TermCache, cache_stats, register_cache, reset_caches
 from repro.kernel.convert import ConversionRules, convert
 from repro.kernel.fv import free_vars
 from repro.kernel.intern import build, intern
@@ -61,6 +61,7 @@ __all__ = [
     "ChildSpec",
     "ConversionRules",
     "DictCache",
+    "HitCache",
     "JUDGMENT_CACHE",
     "JudgmentCache",
     "KernelState",

@@ -24,6 +24,7 @@ from typing import Any, Iterable
 __all__ = [
     "ActiveCacheProxy",
     "DictCache",
+    "HitCache",
     "TermCache",
     "cache_stats",
     "register_cache",
@@ -80,6 +81,39 @@ class DictCache:
     def __init__(self, name: str, data: dict) -> None:
         self.name = name
         self._data = data
+
+    def clear(self) -> None:
+        self._data.clear()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+
+class HitCache:
+    """A plain memo dict with the cache protocol and a cumulative hit count.
+
+    ``hits`` survives ``clear`` like the normalization and judgment
+    caches' counters do, so per-call deltas stay meaningful across resets.
+    """
+
+    __slots__ = ("name", "hits", "_data")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.hits = 0
+        self._data: dict[Any, Any] = {}
+
+    def get(self, key: Any) -> Any | None:
+        """The value stored under ``key`` (counted as a hit), or None."""
+        found = self._data.get(key)
+        if found is not None:
+            self.hits += 1
+        return found
+
+    def put(self, key: Any, value: Any) -> Any:
+        """Store ``value`` under ``key`` and return it."""
+        self._data[key] = value
+        return value
 
     def clear(self) -> None:
         self._data.clear()

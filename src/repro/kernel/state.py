@@ -16,6 +16,8 @@ several) with zero cross-talk and results byte-identical to solo runs:
 * one :class:`LanguageStore` per calculus (fv cache, intern memo,
   hash-consing table);
 * the normalization and judgment caches with their fuel-replay entries;
+* the verified-program cache both run backends share and the service
+  executor's text-ingest memo;
 * one :class:`TokenTable` per registered context tokenizer — the
   fingerprint maps are per-state, while each tokenizer's token *counter*
   stays process-global and monotone, so a token cached on a context object
@@ -41,7 +43,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.kernel.cache import DictCache, TermCache
+from repro.kernel.cache import DictCache, HitCache, TermCache
 
 __all__ = [
     "ENGINES",
@@ -180,6 +182,11 @@ class KernelState:
         self.verify_work = {"instantiations": 0, "materialized_nodes": 0}
         #: The attached persistent memo tier (repro.wire.persist), or None.
         self.persistent: Any = None
+        #: Verified hoisted programs keyed on interned source + compile
+        #: options (repro.backend.artifact), shared by both run backends.
+        self.verified_programs = HitCache("backend.verified")
+        #: Surface text → interned term, for the service executor's ingest.
+        self.ingest = HitCache("service.ingest")
         self._counter = itertools.count(1)
         self._stores: dict[str, LanguageStore] = {}
         self._token_tables: dict[str, TokenTable] = {}
@@ -229,6 +236,8 @@ class KernelState:
             out.append(self.token_table(tokenizer.name))
         out.append(self.normalization)
         out.append(self.judgments)
+        out.append(self.verified_programs)
+        out.append(self.ingest)
         out.extend(self._extra)
         return out
 
@@ -297,6 +306,8 @@ class KernelState:
         return {
             self.normalization.name: self.normalization.hits,
             self.judgments.name: self.judgments.hits,
+            self.verified_programs.name: self.verified_programs.hits,
+            self.ingest.name: self.ingest.hits,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

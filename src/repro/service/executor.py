@@ -81,20 +81,28 @@ def _b64_cccc(term: cccc.Term) -> str:
     return term_to_b64(cccc.ast.LANGUAGE, cccc.intern(term))
 
 
-def _ingest(job: Job) -> cc.Term:
+def _ingest(session: "Session", job: Job) -> cc.Term:
     """The job's program as an interned CC term — binary or text path.
 
     Binary ingest is O(new nodes): the decoder adopts every node whose
     content hash the session already knows, and interning the decoded DAG
-    memoizes per unique (node, depth).  Both paths land on the same
-    α-canonical representative, so payloads are byte-identical whichever
-    wire the job arrived on.
+    memoizes per unique (node, depth).  Text ingest is memoized per
+    session, text → interned term (``KernelState.ingest``, emptied by
+    ``reset``), so a repeated program is one dict probe; a ``ParseError``
+    raises before anything is stored, so malformed text fails the same
+    way on every repeat.  Both paths land on the same α-canonical
+    representative, so payloads are byte-identical whichever wire the job
+    arrived on.
     """
     if job.term_b64 is not None:
         from repro.wire.codec import term_from_b64
 
         return cc.intern(term_from_b64(cc.ast.LANGUAGE, job.term_b64))
-    return cc.intern(parse_term(job.program))
+    memo = session.state.ingest
+    term = memo.get(job.program)
+    if term is None:
+        term = memo.put(job.program, cc.intern(parse_term(job.program)))
+    return term
 
 
 @contextmanager
@@ -172,8 +180,9 @@ def _run_payload(result: Any) -> dict[str, Any]:
     """The deterministic payload both run backends share.
 
     Built from the flat :class:`~repro.api.RunResult` fields (never
-    ``compile_result``, which is None on a warm artifact hit), so a warm
-    pooled run renders byte-for-byte what a cold solo run renders.
+    ``compile_result``, which is None on a warm verified-program hit of
+    either backend), so a warm pooled run renders byte-for-byte what a
+    cold solo run renders.
     """
     shown = (
         result.observation
@@ -227,7 +236,7 @@ def _dispatch(session: "Session", job: Job) -> dict[str, Any]:
 
     binary = job.wire >= 2
     with session.activate():
-        term = _ingest(job)
+        term = _ingest(session, job)
         if job.kind == "parse":
             payload = {"term": _canon_cc(term)}
             if binary:

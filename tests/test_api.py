@@ -27,6 +27,7 @@ from repro.common.errors import NormalizationDepthExceeded, ReproError, TypeChec
 from repro.common.names import fresh
 from repro.gen.generator import GenConfig, TermGenerator
 from repro.kernel.budget import Budget
+from repro.surface.parser import MAX_NESTING
 
 # --------------------------------------------------------------------------
 # Workloads: generators yielding one record string per operation.
@@ -321,3 +322,62 @@ class TestSessionEntrypoints:
                 assert fresh("n") == first  # inner session starts at 1 too
             second = fresh("n")
         assert first != second  # outer counter resumed where it left off
+
+
+# --------------------------------------------------------------------------
+# The service executor's per-session text-ingest memo.
+# --------------------------------------------------------------------------
+
+
+class TestIngestMemo:
+    @pytest.mark.parametrize(
+        ("text", "position"),
+        [
+            ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), f"1:{MAX_NESTING + 1}:"),
+            (r"(\ (x : Nat). ", "1:15:"),
+            ("succ $x", "1:6:"),
+        ],
+        ids=["past-nesting-bound", "truncated", "bad-character"],
+    )
+    def test_parse_errors_repeat_and_are_never_memoized(self, text, position):
+        session = api.Session()
+        documents = [
+            session.execute({"id": "p", "kind": kind, "program": text})
+            for kind in ("check", "run", "check")
+        ]
+        assert all(not result.ok for result in documents)
+        assert documents[0].error["type"] == "ParseError"
+        assert {result.error["message"] for result in documents} == {
+            documents[0].error["message"]
+        }
+        assert f"parse error at {position}" in documents[0].error["message"]
+        assert session.cache_stats()["service.ingest"] == 0
+        assert session.hit_counts()["service.ingest"] == 0
+
+    def test_repeated_text_is_one_probe(self):
+        session = api.Session()
+        text = r"(\ (x : Nat). succ x) 41"
+        first = session.execute({"id": "a", "kind": "check", "program": text})
+        second = session.execute({"id": "a", "kind": "check", "program": text})
+        assert first.meta["cache_hits"]["service.ingest"] == 0
+        assert second.meta["cache_hits"]["service.ingest"] == 1
+        assert first.canonical() == second.canonical()
+        assert session.cache_stats()["service.ingest"] == 1
+
+    def test_text_and_binary_ingest_share_one_interned_term(self):
+        from repro.service.executor import _ingest
+        from repro.service.jobs import Job
+        from repro.wire.codec import term_to_b64
+
+        session = api.Session()
+        text = r"(\ (f : Nat -> Nat) (x : Nat). f (f x)) (\ (y : Nat). succ y) 5"
+        with session.activate():
+            from repro.surface import parse_term
+
+            b64 = term_to_b64(cc.ast.LANGUAGE, parse_term(text))
+            text_job = Job.from_dict({"kind": "run", "program": text})
+            binary_job = Job.from_dict({"kind": "run", "term_b64": b64, "wire": 2})
+            from_text = _ingest(session, text_job)
+            assert _ingest(session, binary_job) is from_text
+            assert _ingest(session, text_job) is from_text
+            assert cc.intern(from_text) is from_text

@@ -15,6 +15,7 @@ import pytest
 from repro import api, cc, cccc
 from repro.backend import (
     ArtifactMeta,
+    VerifiedProgram,
     artifact_key,
     compile_program,
     decode_artifact,
@@ -28,6 +29,7 @@ from repro.closconv import compile_term
 from repro.common.errors import WireDecodeError
 from repro.gen.jobs import close_over, job_corpus
 from repro.machine import MachineError, hoist, machine_observation, run
+from repro.surface import to_surface
 from tests.corpus import (
     CLOSED_GROUND_PROGRAMS,
     CORPUS,
@@ -156,7 +158,13 @@ class TestSessionBackend:
         warm = session.run(source, engine="compiled")
         assert warm.compile_result is None  # in-memory artifact hit
         assert warm.artifact == cold.artifact
-        assert warm.to_dict() == cold.to_dict()
+        # The hit counters are the one field that says which run was warm.
+        assert cold.cache_hits["backend.verified"] == 0
+        assert warm.cache_hits["backend.verified"] == 1
+        cold_doc, warm_doc = cold.to_dict(), warm.to_dict()
+        cold_doc.pop("cache_hits")
+        warm_doc.pop("cache_hits")
+        assert warm_doc == cold_doc
 
 
 class TestErrorParity:
@@ -246,29 +254,39 @@ class TestArtifacts:
         session = api.Session()
         session.attach_memo_store(str(tmp_path / "store.sqlite"))
         state = session.state
-        key = b"k" * 24
+        with session.activate():
+            source = cc.intern(close_over(*CORPUS[0][1:]))
+        key = artifact_key(source, engine="nbe", verify=True)
         state.persistent.store.put_artifact(key, 0, b"garbage-not-an-artifact")
-        assert load_artifact(state, key) is None
+        assert load_artifact(state, source, engine="nbe", verify=True) is None
         session.detach_memo_store()
 
     def test_store_and_load_across_sessions(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         program, meta = self._program_and_meta()
         compiled = compile_program(program)
-        key = b"\x07" * 24
+        term = close_over(*CORPUS[0][1:])
 
         writer = api.Session(name="writer")
         writer.attach_memo_store(path)
-        store_artifact(writer.state, key, compiled, meta)
+        with writer.activate():
+            entry = VerifiedProgram(cc.intern(term), program, meta)
+        store_artifact(writer.state, entry, engine="nbe", verify=True)
         writer.detach_memo_store()  # flush
 
         reader = api.Session(name="reader")
         reader.attach_memo_store(path)
-        found = load_artifact(reader.state, key)
+        with reader.activate():
+            source = cc.intern(term)
+        found = load_artifact(reader.state, source, engine="nbe", verify=True)
         assert found is not None
-        loaded, loaded_meta = found
-        assert loaded_meta == meta
-        assert loaded.source_hash == compiled.source_hash
+        assert found.source is source
+        assert found.meta == meta
+        assert found.compiled is None  # decoded, not staged
+        assert compile_program(found.program).source_hash == compiled.source_hash
+        assert reader.state.persistent.store.artifact_hits == 1
+        # The decoded row is memoized: the next lookup never reaches the store.
+        assert load_artifact(reader.state, source, engine="nbe", verify=True) is found
         assert reader.state.persistent.store.artifact_hits == 1
         reader.detach_memo_store()
 
@@ -352,3 +370,165 @@ class TestCompiledStats:
         stats = CompiledStats.from_counters([1, 0, 0, 0, 0, 0, 0])
         assert stats.max_frame_size == 0
         assert stats.as_dict()["steps"] == 1
+
+
+# --------------------------------------------------------------------------
+# The verified-program cache both run backends share.
+# --------------------------------------------------------------------------
+
+
+def _cache_programs() -> list[tuple[str, cc.Term]]:
+    """Every closed corpus program plus small instances of both towers."""
+    from benchmarks.workloads import bool_flip_tower, church_sum
+
+    programs = [(name, close_over(ctx, term)) for name, ctx, term in CORPUS]
+    programs += [(name, term) for name, term, _ in CLOSED_GROUND_PROGRAMS]
+    programs += [("bool-flip-tower-3", bool_flip_tower(3)), ("church-sum-3", church_sum(3))]
+    return programs
+
+
+_CACHE_PROGRAMS = _cache_programs()
+
+
+def _job(kind: str, term: cc.Term, **extra) -> dict:
+    return {"id": "j", "kind": kind, "program": to_surface(term), **extra}
+
+
+def _verified_hits(result) -> int:
+    return result.meta["cache_hits"]["backend.verified"]
+
+
+class TestVerifiedProgramCache:
+    @pytest.mark.parametrize(
+        "term", [term for _, term in _CACHE_PROGRAMS], ids=[name for name, _ in _CACHE_PROGRAMS]
+    )
+    def test_warm_payloads_equal_cold_on_both_backends(self, term):
+        session = api.Session()
+        cold = session.execute(_job("run", term))
+        warm = session.execute(_job("run", term))
+        assert cold.ok, cold.error
+        assert (_verified_hits(cold), _verified_hits(warm)) == (0, 1)
+        assert warm.canonical() == cold.canonical()
+        # compile_py reads the entry the machine run filled, and its
+        # payload equals the machine's once the backend-only keys go.
+        compiled = session.execute(_job("compile_py", term))
+        assert _verified_hits(compiled) == 1
+        assert {k: v for k, v in compiled.payload.items() if k not in ("backend", "artifact")} == {
+            k: v for k, v in cold.payload.items() if k != "backend"
+        }
+        assert compiled.payload == api.Session().execute(_job("compile_py", term)).payload
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verified", "unverified"])
+    @pytest.mark.parametrize("kind", ["run", "compile_py"])
+    def test_fuel_starved_documents_match_cold_and_warm(self, kind, verify):
+        # add-3-4 spends fuel in check and verify.  Unverified, check fuel
+        # is the only fuel, so its replay is what a starved warm run hits.
+        term = CLOSED_GROUND_PROGRAMS[3][1]
+        reference = api.Session().run(term, verify=verify)
+        assert reference.check_steps > 0
+        assert (reference.verify_steps > 0) == verify
+        warm_session = api.Session()
+        assert warm_session.execute(_job(kind, term, verify=verify)).ok
+        for fuel in range(max(reference.check_steps, reference.verify_steps) + 2):
+            cold = api.Session().execute(_job(kind, term, fuel=fuel, verify=verify))
+            warm = warm_session.execute(_job(kind, term, fuel=fuel, verify=verify))
+            assert _verified_hits(warm) == 1
+            assert warm.canonical() == cold.canonical(), fuel
+        starved = api.Session().execute(_job(kind, term, fuel=0, verify=verify))
+        assert starved.error["type"] == "NormalizationDepthExceeded"
+
+    def test_verify_false_never_hits_a_verified_entry(self):
+        term = CLOSED_GROUND_PROGRAMS[2][1]
+        session = api.Session()
+        assert session.run(term).verified
+        unverified = session.run(term, verify=False)
+        assert unverified.compile_result is not None
+        assert unverified.cache_hits["backend.verified"] == 0
+        assert not unverified.verified
+        again = session.run(term, verify=False, engine="compiled")
+        assert again.cache_hits["backend.verified"] == 1 and not again.verified
+        assert session.cache_stats()["backend.verified"] == 2
+
+    def test_open_context_runs_bypass_the_cache(self):
+        ctx = cc.Context.empty().extend("n", cc.Nat())
+        term = CLOSED_GROUND_PROGRAMS[1][1]
+        session = api.Session()
+        for engine in ("machine", "compiled", "machine"):
+            result = session.run(term, ctx=ctx, engine=engine)
+            assert result.observation == 5
+            assert result.compile_result is not None
+            assert result.cache_hits["backend.verified"] == 0
+        assert session.cache_stats()["backend.verified"] == 0
+
+    def test_profiled_runs_bypass_the_cache(self):
+        from repro import obs
+
+        term = CLOSED_GROUND_PROGRAMS[1][1]
+        session = api.Session()
+        session.run(term)  # fills the entry
+        for engine in ("machine", "compiled"):
+            with obs.activate():
+                profiled = session.run(term, engine=engine)
+            assert profiled.compile_result is not None
+            assert profiled.cache_hits["backend.verified"] == 0
+        assert session.cache_stats()["backend.verified"] == 1
+        assert session.hit_counts()["backend.verified"] == 0
+
+    def test_reset_empties_the_cache_and_the_ingest_memo(self):
+        term = CLOSED_GROUND_PROGRAMS[1][1]
+        session = api.Session()
+        for kind in ("run", "compile_py", "run"):
+            assert session.execute(_job(kind, term)).ok
+        stats = session.cache_stats()
+        assert stats["backend.verified"] == 1 and stats["service.ingest"] == 1
+        assert session.hit_counts()["service.ingest"] == 2
+        session.execute({"kind": "reset"})
+        stats = session.cache_stats()
+        assert stats["backend.verified"] == 0 and stats["service.ingest"] == 0
+        cold = session.execute(_job("run", term))
+        assert _verified_hits(cold) == 0
+        assert cold.meta["cache_hits"]["service.ingest"] == 0
+        session.reset()
+        assert session.cache_stats()["backend.verified"] == 0
+        assert session.cache_stats()["service.ingest"] == 0
+
+    def test_cold_run_without_a_tier_computes_no_content_key(self, monkeypatch, tmp_path):
+        from repro.backend import artifact as artifact_module
+
+        calls = []
+        original = artifact_module.artifact_key
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(artifact_module, "artifact_key", counting)
+        term = CLOSED_GROUND_PROGRAMS[2][1]
+        session = api.Session()
+        session.run(term)
+        session.run(term, engine="compiled")
+        api.Session().run(term, engine="compiled")
+        assert calls == []
+        # The counter does observe the key once a persistent tier exists.
+        session.reset()
+        session.attach_memo_store(str(tmp_path / "store.sqlite"))
+        session.run(term)
+        session.detach_memo_store()
+        assert calls
+
+    def test_machine_runs_share_persistent_rows_with_compile_py(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        term = CLOSED_GROUND_PROGRAMS[2][1]
+        writer = api.Session()
+        writer.attach_memo_store(path)
+        cold = writer.execute(_job("run", term))
+        writer.detach_memo_store()
+        for kind in ("compile_py", "run"):
+            reader = api.Session()
+            tier = reader.attach_memo_store(path)
+            warm = reader.execute(_job(kind, term))
+            assert tier.store.artifact_hits == 1
+            assert _verified_hits(warm) == 0  # a row, not a memory hit
+            assert warm.ok and warm.payload["compile_steps"] == cold.payload["compile_steps"]
+            reader.detach_memo_store()
+        assert warm.canonical() == cold.canonical()

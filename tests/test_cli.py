@@ -89,7 +89,12 @@ class TestJsonOutput:
         assert document["type"] == "Π (A : ⋆). A -> A"
         assert document["engine"] == "nbe"
         assert document["steps"] == 0
-        assert set(document["cache_hits"]) == {"kernel.normalization", "kernel.judgments"}
+        assert set(document["cache_hits"]) == {
+            "kernel.normalization",
+            "kernel.judgments",
+            "backend.verified",
+            "service.ingest",
+        }
 
     def test_normalize_json_reports_steps_and_engine(self, capsys):
         assert main(["normalize", "--json", "-e", r"(\ (x : Nat). succ x) 41"]) == 0

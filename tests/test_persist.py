@@ -164,6 +164,8 @@ class TestTier:
         assert set(report.stats["cache_hits"]) == {
             "kernel.normalization",
             "kernel.judgments",
+            "backend.verified",
+            "service.ingest",
         }
         assert report.stats["persist"]["writes"] > 0
 
